@@ -1,4 +1,4 @@
-"""Bitmask-encoded D-set index — the validator's live-path fast lane.
+"""Bitmask-encoded partial order and D-set index — the live-path fast lane.
 
 :func:`~repro.protocol.validation.compute_d_set` is a direct
 transliteration of §5.1: for each sibling it scans *every other*
@@ -13,15 +13,12 @@ rules consult as machine integers, the same playbook the census fast
 path used (stage the structure once, then answer each query with a few
 bitwise operations):
 
-* children are interned to bit positions **in sorted-name order**, so
-  iterating a mask from the low bit up reproduces exactly the
-  ``sorted(...)`` traversal the object path uses to build candidate
-  lists;
+* children are interned to bit positions **in definition order**, so a
+  new child is one more bit and no existing bit ever moves;
 * the parent's partial order ``P+`` becomes two arrays of masks —
   ``pred_masks[i]`` / ``succ_masks[i]`` hold the transitive
-  predecessors/successors of child ``i`` — built by one topological
-  DP over the covering pairs (aborted children stay in the ground set:
-  they still mediate reachability, exactly as the object
+  predecessors/successors of child ``i`` (aborted children stay in the
+  ground set: they still mediate reachability, exactly as the object
   :class:`~repro.core.orders.PartialOrder` closure does);
 * each item's *live updaters* become one mask, so rule 3's
   "some other updater lies strictly between ``t_j`` and ``t_i``"
@@ -38,13 +35,18 @@ Strictness of ``P+`` makes the self-exclusions of the object path
 (``other not in (sibling, txn)``) automatic: ``j ∉ succ_masks[j]`` and
 ``i ∉ pred_masks[i]``.
 
-The index is a pure function of the parent's children, order pairs,
-update sets, and the aborted subset — the transaction manager caches
-one per parent and invalidates by a structure epoch bumped on define
-and abort.  The object path remains in place as the differential
-oracle (``TransactionManager.fast_validation = False`` selects it);
+The transaction manager keeps one index per parent and updates it in
+place: :meth:`ParentIndex.add` on define (after :meth:`ParentIndex.reach`
+has cycle-checked the placement) and :meth:`ParentIndex.discard` on
+abort.  A full build from the parent's children, order pairs, update
+sets and aborted subset happens only when recovery resurrects records.
+Bit order is definition order, not name order, so callers that need the
+object path's ``sorted(...)`` traversal sort the names they get back.
+The object path remains in place as the differential oracle
+(``TransactionManager.fast_validation = False`` selects it);
 ``tests/protocol/test_fastpath_validation.py`` holds the two paths
-equal on hypothesis-generated histories.
+equal on hypothesis-generated histories, and holds the in-place index
+equal to a from-scratch build.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from typing import Iterable, Mapping
 
 
 class ParentIndex:
-    """Integer-encoded §5.1 exclusion rules for one parent's children."""
+    """Integer-encoded partial order and §5.1 exclusion rules for one
+    parent's children."""
 
     __slots__ = (
         "names",
@@ -61,7 +64,6 @@ class ParentIndex:
         "pred_masks",
         "succ_masks",
         "live_mask",
-        "_update_sets",
         "_updater_masks",
     )
 
@@ -72,69 +74,103 @@ class ParentIndex:
         update_sets: Mapping[str, frozenset[str]],
         aborted: Iterable[str] = (),
     ) -> None:
-        # Bit i ↔ names[i]; sorted so low-to-high bit iteration is
-        # exactly the object path's sorted-name traversal.
-        self.names: list[str] = sorted(children)
-        self.ids: dict[str, int] = {
-            name: index for index, name in enumerate(self.names)
-        }
-        count = len(self.names)
-        succ_adj = [0] * count
-        pred_adj = [0] * count
-        for before, after in order_pairs:
-            succ_adj[self.ids[before]] |= 1 << self.ids[after]
-            pred_adj[self.ids[after]] |= 1 << self.ids[before]
-
-        # Kahn topological order over the (acyclic — define() checked)
-        # covering pairs, then one DP pass per direction turns the
-        # immediate adjacency into transitive reachability masks.
-        indegree = [_popcount(pred_adj[i]) for i in range(count)]
-        topo: list[int] = [i for i in range(count) if indegree[i] == 0]
-        cursor = 0
-        while cursor < len(topo):
-            node = topo[cursor]
-            cursor += 1
-            for succ in _bits(succ_adj[node]):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    topo.append(succ)
-
-        pred_masks = [0] * count
-        for node in topo:
-            mask = 0
-            for pred in _bits(pred_adj[node]):
-                mask |= (1 << pred) | pred_masks[pred]
-            pred_masks[node] = mask
-        succ_masks = [0] * count
-        for node in reversed(topo):
-            mask = 0
-            for succ in _bits(succ_adj[node]):
-                mask |= (1 << succ) | succ_masks[succ]
-            succ_masks[node] = mask
-        self.pred_masks = pred_masks
-        self.succ_masks = succ_masks
-
-        live = (1 << count) - 1 if count else 0
-        for name in aborted:
-            live &= ~(1 << self.ids[name])
-        self.live_mask = live
-        self._update_sets = update_sets
-        # item -> mask of *live* children declaring it, built lazily.
+        # Bit i ↔ names[i], in the order children are added.
+        self.names: list[str] = []
+        self.ids: dict[str, int] = {}
+        self.pred_masks: list[int] = []
+        self.succ_masks: list[int] = []
+        self.live_mask = 0
+        # item -> mask of *live* children declaring it.
         self._updater_masks: dict[str, int] = {}
+
+        # A full build is the same sequence of adds: each covering
+        # pair is attached when its later-listed endpoint arrives, so
+        # every pair links the new child to one already present.
+        order = list(children)
+        position = {name: index for index, name in enumerate(order)}
+        preds: dict[str, list[str]] = {name: [] for name in order}
+        succs: dict[str, list[str]] = {name: [] for name in order}
+        for before, after in order_pairs:
+            if position[before] < position[after]:
+                preds[after].append(before)
+            else:
+                succs[before].append(after)
+        for name in order:
+            pred, succ = self.reach(preds[name], succs[name])
+            self.add(name, update_sets[name], pred, succ)
+        for name in aborted:
+            self.discard(name, update_sets[name])
+
+    # -- updates -----------------------------------------------------------
+
+    def reach(
+        self, predecessors: Iterable[str], successors: Iterable[str]
+    ) -> tuple[int, int]:
+        """Transitive (pred, succ) masks of a child placed after
+        ``predecessors`` and before ``successors``.
+
+        The placement closes a cycle iff the two masks intersect: some
+        declared successor equals or reaches a declared predecessor.
+        """
+        ids = self.ids
+        pred_masks = self.pred_masks
+        succ_masks = self.succ_masks
+        pred = 0
+        for name in predecessors:
+            index = ids[name]
+            pred |= (1 << index) | pred_masks[index]
+        succ = 0
+        for name in successors:
+            index = ids[name]
+            succ |= (1 << index) | succ_masks[index]
+        return pred, succ
+
+    def add(
+        self, name: str, update_set: frozenset[str], pred: int, succ: int
+    ) -> None:
+        """Append a live child with the acyclic masks :meth:`reach` gave."""
+        index = len(self.names)
+        bit = 1 << index
+        self.names.append(name)
+        self.ids[name] = index
+        self.pred_masks.append(pred)
+        self.succ_masks.append(succ)
+        # Every path through the new child is new: its ancestors now
+        # reach it and its descendants, and vice versa.
+        pred_masks = self.pred_masks
+        succ_masks = self.succ_masks
+        down = bit | succ
+        for ancestor in _bits(pred):
+            succ_masks[ancestor] |= down
+        up = bit | pred
+        for descendant in _bits(succ):
+            pred_masks[descendant] |= up
+        self.live_mask |= bit
+        updater_masks = self._updater_masks
+        for item in update_set:
+            updater_masks[item] = updater_masks.get(item, 0) | bit
+
+    def discard(self, name: str, update_set: frozenset[str]) -> None:
+        """An aborted child stops updating but keeps its order edges."""
+        keep = ~(1 << self.ids[name])
+        self.live_mask &= keep
+        updater_masks = self._updater_masks
+        for item in update_set:
+            updater_masks[item] &= keep
 
     # -- queries -----------------------------------------------------------
 
     def updater_mask(self, item: str) -> int:
-        mask = self._updater_masks.get(item)
-        if mask is None:
-            mask = 0
-            ids = self.ids
-            for name, updates in self._update_sets.items():
-                if item in updates:
-                    mask |= 1 << ids[name]
-            mask &= self.live_mask
-            self._updater_masks[item] = mask
-        return mask
+        return self._updater_masks.get(item, 0)
+
+    def precedes(self, before: str, after: str) -> bool:
+        """``before P+ after``; False for names outside the index."""
+        ids = self.ids
+        before_id = ids.get(before)
+        after_id = ids.get(after)
+        if before_id is None or after_id is None:
+            return False
+        return bool(self.succ_masks[before_id] >> after_id & 1)
 
     def d_members(self, txn: str, item: str) -> tuple[int, int]:
         """(members, predecessors) masks under the three §5.1 rules."""
@@ -154,7 +190,7 @@ class ParentIndex:
         return members, members & pred_of_txn
 
     def names_from(self, mask: int) -> list[str]:
-        """Mask → names, ascending bit order == sorted-name order."""
+        """Mask → names, in ascending bit (definition) order."""
         names = self.names
         out: list[str] = []
         while mask:
@@ -165,11 +201,9 @@ class ParentIndex:
 
     def predecessor_names(self, txn: str) -> list[str]:
         """All strict ``P+`` predecessors (aborted included), sorted."""
-        return self.names_from(self.pred_masks[self.ids[txn]])
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+        names = self.names_from(self.pred_masks[self.ids[txn]])
+        names.sort()
+        return names
 
 
 def _bits(mask: int):

@@ -34,8 +34,18 @@ predecessor writes.
 from __future__ import annotations
 
 import enum
+from typing import Protocol
 
-from ..core.orders import PartialOrder
+
+class SiblingOrder(Protocol):
+    """What Figure 4 asks of ``parent(W).P``: strict reachability.
+
+    Both :class:`~repro.core.orders.PartialOrder` and the live path's
+    :class:`~repro.protocol.fastpath.ParentIndex` answer it, and both
+    answer False for names outside the order.
+    """
+
+    def precedes(self, before: str, after: str, /) -> bool: ...
 
 
 class ReevalDecision(enum.Enum):
@@ -56,7 +66,7 @@ def figure4_decision(
     writer: str,
     holder: str,
     version_author: str | None,
-    parent_order: PartialOrder[str],
+    parent_order: SiblingOrder,
     holder_has_read: bool,
 ) -> ReevalDecision:
     """Decide the fate of one read-side lock holder after a write.

@@ -41,7 +41,6 @@ from ..core.orders import PartialOrder
 from ..core.transactions import Spec
 from ..errors import (
     LockProtocolError,
-    PartialOrderViolation,
     ProtocolError,
     TransactionAborted,
 )
@@ -166,16 +165,13 @@ class TransactionManager:
         #: computation; ``False`` selects the object-path oracle
         #: (:func:`compute_d_set`) — differential tests flip this.
         self.fast_validation = True
-        # Epoch counters invalidating the fast-path caches: structure
-        # (children/order/aborted set) changes on define and abort;
-        # the version population changes on write and expunge.
-        self._struct_epoch = 0
-        self._version_epoch = 0
-        self._parent_indexes: dict[str, tuple[int, ParentIndex]] = {}
-        self._order_cache: dict[str, tuple[int, int, PartialOrder[str]]] = {}
-        self._authors_cache: dict[
-            str, tuple[int, dict[str | None, list[Version]]]
-        ] = {}
+        #: One order/D-set index per parent, updated in place by define
+        #: and abort; built in full only for a parent whose records
+        #: recovery resurrected.
+        self._parent_indexes: dict[str, ParentIndex] = {}
+        #: item -> its versions grouped by author; a write appends, an
+        #: expunge drops the item's entry.
+        self._authors_cache: dict[str, dict[str | None, list[Version]]] = {}
 
         # A custom root label namespaces every transaction name the
         # manager generates (names are {parent}.{counter} paths) — the
@@ -292,29 +288,23 @@ class TransactionManager:
     def order_of(self, txn: str) -> PartialOrder[str]:
         """The partial order ``P`` over a transaction's children.
 
-        Cached: the eager transitive closure is expensive to rebuild
-        per call, and children/pairs only ever grow — their lengths
-        are an exact invalidation key.
+        Built on each call, for verification, the object-path oracle
+        and tests; the live path asks the parent's
+        :class:`ParentIndex` instead.
         """
         record = self.record(txn)
-        key = (len(record.children), len(record.order_pairs))
-        cached = self._order_cache.get(txn)
-        if cached is not None and (cached[0], cached[1]) == key:
-            return cached[2]
-        order = PartialOrder(record.children, record.order_pairs)
-        self._order_cache[txn] = (key[0], key[1], order)
-        return order
+        return PartialOrder(record.children, record.order_pairs)
 
     def _parent_index(self, parent: str) -> ParentIndex:
-        """The bitmask D-set index for one parent, epoch-cached.
+        """The bitmask order/D-set index for one parent.
 
-        One build serves every validation/re-assignment/commit check
-        until the next define or abort — under dispatcher batching,
-        one conflict-structure pass per batch.
+        Define and abort keep it current in place, so the full build
+        below runs once per parent: for a new parent (no children yet)
+        or after recovery adopted records.
         """
-        cached = self._parent_indexes.get(parent)
-        if cached is not None and cached[0] == self._struct_epoch:
-            return cached[1]
+        index = self._parent_indexes.get(parent)
+        if index is not None:
+            return index
         parent_record = self.record(parent)
         records = self._records
         index = ParentIndex(
@@ -330,20 +320,20 @@ class TransactionManager:
                 if records[child].phase is TxnPhase.ABORTED
             ],
         )
-        self._parent_indexes[parent] = (self._struct_epoch, index)
+        self._parent_indexes[parent] = index
         return index
 
     def _versions_by_author(
         self, item: str
     ) -> dict[str | None, list[Version]]:
         """All versions of ``item`` grouped by author, creation order."""
-        cached = self._authors_cache.get(item)
-        if cached is not None and cached[0] == self._version_epoch:
-            return cached[1]
-        by_author: dict[str | None, list[Version]] = {}
+        by_author = self._authors_cache.get(item)
+        if by_author is not None:
+            return by_author
+        by_author = {}
         for version in self._db.store.versions(item):
             by_author.setdefault(version.author, []).append(version)
-        self._authors_cache[item] = (self._version_epoch, by_author)
+        self._authors_cache[item] = by_author
         return by_author
 
     def _adopt_record(self, record: TxnRecord) -> None:
@@ -357,7 +347,10 @@ class TransactionManager:
             self._active.pop(record.name, None)
         else:
             self._active[record.name] = None
-        self._struct_epoch += 1
+        # The next query of either parent rebuilds its index in full.
+        self._parent_indexes.pop(record.name, None)
+        if record.parent is not None:
+            self._parent_indexes.pop(record.parent, None)
 
     def assigned_versions(self, txn: str) -> dict[str, Version]:
         return dict(self.record(txn).assigned)
@@ -406,41 +399,46 @@ class TransactionManager:
         )
         preds = list(predecessors)
         succs = list(successors)
+        index = self._parent_index(parent)
         for sibling in preds + succs:
-            if sibling not in parent_record.children:
+            if sibling not in index.ids:
                 raise ProtocolError(
                     f"{sibling} is not an existing child of {parent}"
                 )
+        # Every check runs before any state changes, so a rejected
+        # define leaves the manager exactly as it found it.
+        to_undo: dict[str, None] = {}
         for successor in succs:
             successor_record = self.record(successor)
             if successor_record.phase is TxnPhase.COMMITTED and (
                 updates & successor_record.input_set
             ):
-                if undo_committed_successors:
-                    undone = self.undo_relative_commit(successor)
-                    if undone.outcome is Outcome.OK:
-                        continue
-                raise ProtocolError(
-                    f"cannot place {name} before committed {successor}: "
-                    f"it updates items {sorted(updates & successor_record.input_set)} "
-                    "that the committed transaction read"
-                )
-
-        pairs = set(parent_record.order_pairs)
-        pairs.update((pred, name) for pred in preds)
-        pairs.update((name, succ) for succ in succs)
-        try:
-            # Cycle check — PartialOrder raises on cycles.
-            PartialOrder(parent_record.children + [name], pairs)
-        except PartialOrderViolation as error:
+                if not undo_committed_successors:
+                    raise ProtocolError(
+                        f"cannot place {name} before committed {successor}: "
+                        f"it updates items {sorted(updates & successor_record.input_set)} "
+                        "that the committed transaction read"
+                    )
+                to_undo[successor] = None
+        pred_mask, succ_mask = index.reach(preds, succs)
+        cycle = pred_mask & succ_mask
+        if cycle:
+            through = min(index.names_from(cycle))
             raise ProtocolError(
                 f"defining {name} would make {parent}'s partial order "
-                f"cyclic: {error}"
-            ) from error
+                f"cyclic: {through} both precedes and follows it"
+            )
+        for successor in to_undo:
+            # The parent is live (checked above), so the commit is
+            # still relative and the undo cannot fail.
+            undone = self.undo_relative_commit(successor)
+            assert undone.outcome is Outcome.OK, undone.reason
 
         parent_record.child_counter += 1
         parent_record.children.append(name)
-        parent_record.order_pairs = pairs
+        parent_record.order_pairs.update((pred, name) for pred in preds)
+        parent_record.order_pairs.update((name, succ) for succ in succs)
+        index.add(name, updates, pred_mask, succ_mask)
         self._records[name] = TxnRecord(
             name=name,
             parent=parent,
@@ -448,7 +446,6 @@ class TransactionManager:
             update_set=updates,
         )
         self._active[name] = None
-        self._struct_epoch += 1
         self._log.record(
             EventKind.DEFINE,
             name,
@@ -587,16 +584,22 @@ class TransactionManager:
         parent = record.parent
         index = self._parent_index(parent)
         d_sets: dict[str, DSet] = {}
+        ids = index.ids
         for item in sorted(record.input_set):
             members_mask, pred_mask = index.d_members(record.name, item)
             by_author = self._versions_by_author(item)
             parent_version = self._parent_world_version(parent, item)
+            # Bits are in definition order; the object path traverses
+            # members in sorted-name order (t.10 < t.2).
+            members = index.names_from(members_mask)
+            members.sort()
+            predecessors = (
+                [name for name in members if pred_mask >> ids[name] & 1]
+                if pred_mask
+                else []
+            )
             candidates: list[Version] = []
-            # Ascending-bit traversal == the object path's sorted-name
-            # candidate order.
-            for member in index.names_from(
-                pred_mask if pred_mask else members_mask
-            ):
+            for member in predecessors or members:
                 versions = by_author.get(member)
                 if versions:
                     candidates.extend(versions)
@@ -606,8 +609,8 @@ class TransactionManager:
                 used_parent = True
             d_sets[item] = DSet(
                 item=item,
-                members=frozenset(index.names_from(members_mask)),
-                predecessors=frozenset(index.names_from(pred_mask)),
+                members=frozenset(members),
+                predecessors=frozenset(predecessors),
                 candidates=tuple(candidates),
                 used_parent_version=used_parent,
             )
@@ -766,7 +769,9 @@ class TransactionManager:
         if entity not in record.in_flight_writes:
             raise ProtocolError(f"{txn} has no write in flight on {entity}")
         version = self._db.write(entity, value, txn)
-        self._version_epoch += 1
+        by_author = self._authors_cache.get(entity)
+        if by_author is not None:
+            by_author.setdefault(txn, []).append(version)
         record.writes[entity] = version
         record.in_flight_writes.discard(entity)
         self._log.record(
@@ -824,7 +829,7 @@ class TransactionManager:
         writer_record = self.record(writer)
         if writer_record.parent is None:
             return
-        order = self.order_of(writer_record.parent)
+        order = self._parent_index(writer_record.parent)
         for holder in holders:
             if holder in result.aborted:
                 continue
@@ -1211,10 +1216,13 @@ class TransactionManager:
         record.abort_reason = reason
         record.in_flight_writes.clear()
         self._active.pop(txn, None)
-        self._struct_epoch += 1
+        if record.parent is not None:
+            index = self._parent_indexes.get(record.parent)
+            if index is not None:
+                index.discard(txn, record.update_set)
         removed = self._db.store.expunge_author(txn)
-        if removed:
-            self._version_epoch += 1
+        for version in removed:
+            self._authors_cache.pop(version.entity, None)
         self._locks.release_all(txn)
         self._log.record(EventKind.ABORT, txn, reason=reason)
         if self._tracer.enabled:

@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Domain, Predicate, Schema, Spec
+from repro.core.orders import PartialOrder
 from repro.errors import ProtocolError
 from repro.protocol import Outcome, TransactionManager, TxnPhase
+from repro.protocol.fastpath import ParentIndex
 
 from repro.storage import Database
 
@@ -205,3 +207,99 @@ def test_d_sets_agree_under_aborted_and_intervening_updaters(seed):
                 fast_sets = tm._compute_d_sets(tm.record(peer))
                 object_sets = tm._compute_d_sets_object(tm.record(peer))
                 assert fast_sets == object_sets, (peer, seed)
+
+
+def _index_by_name(index: ParentIndex) -> dict:
+    """An index's content keyed by child name, free of bit order."""
+
+    def names(mask: int) -> frozenset[str]:
+        return frozenset(index.names_from(mask))
+
+    return {
+        "pred": {
+            name: names(index.pred_masks[i])
+            for i, name in enumerate(index.names)
+        },
+        "succ": {
+            name: names(index.succ_masks[i])
+            for i, name in enumerate(index.names)
+        },
+        "live": names(index.live_mask),
+        "updaters": {
+            entity: names(index.updater_mask(entity)) for entity in ENTITIES
+        },
+    }
+
+
+def _index_matches_rebuild(tm: TransactionManager) -> None:
+    """The in-place index equals a from-scratch build and the oracle."""
+    parent = tm.record(tm.root)
+    children = parent.children
+    live = tm._parent_index(tm.root)
+    rebuilt = ParentIndex(
+        children,
+        parent.order_pairs,
+        {child: tm.record(child).update_set for child in children},
+        aborted=[
+            child
+            for child in children
+            if tm.phase(child) is TxnPhase.ABORTED
+        ],
+    )
+    assert _index_by_name(live) == _index_by_name(rebuilt)
+    order = PartialOrder(children, parent.order_pairs)
+    names = list(children) + [tm.root, "t.999"]
+    for before in names:
+        for after in names:
+            assert live.precedes(before, after) == order.precedes(
+                before, after
+            ), (before, after)
+
+
+index_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["define", "define", "abort", "commit"]),
+        st.integers(min_value=0, max_value=2**20),
+    ),
+    min_size=4,
+    max_size=30,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=index_steps)
+def test_in_place_index_equals_rebuild(steps):
+    """Define (with predecessors and successors), abort and commit keep
+    the incrementally maintained index equal to a full build."""
+    tm = TransactionManager(_database())
+    for action, draw in steps:
+        pick = random.Random(draw)
+        children = list(tm.children_of(tm.root))
+        if action == "define" or not children:
+            predecessors = pick.sample(
+                children, pick.randint(0, min(3, len(children)))
+            )
+            successors = pick.sample(
+                children, pick.randint(0, min(2, len(children)))
+            )
+            writes = set(pick.sample(ENTITIES, pick.randint(0, 2)))
+            try:
+                tm.define(
+                    tm.root,
+                    Spec(Predicate.parse("x >= 0"), Predicate.true()),
+                    writes,
+                    predecessors=predecessors,
+                    successors=successors,
+                )
+            except ProtocolError:
+                # Cyclic, or before a committed reader: nothing changed.
+                assert tm.children_of(tm.root) == tuple(children)
+        else:
+            txn = pick.choice(children)
+            if action == "abort":
+                tm.abort(txn)
+            elif tm.phase(txn) is TxnPhase.DEFINED:
+                tm.validate(txn)
+            elif tm.phase(txn) is TxnPhase.VALIDATED:
+                tm.commit(txn)
+        _index_matches_rebuild(tm)

@@ -150,3 +150,26 @@ class TestDefineWithUndo:
         result = tm.write(writer, "x", 42)
         assert reader in result.aborted
         assert tm.phase(reader) is TxnPhase.ABORTED
+
+    def test_rejected_define_undoes_nothing(self, tm):
+        # r read x and committed; s follows r.  Placing a writer of x
+        # after s but before r closes the cycle r < s < new < r, so the
+        # define is rejected — and the rejection must not have undone
+        # r's commit on the way.
+        r = tm.define(tm.root, _spec("x >= 0"), set())
+        tm.validate(r)
+        tm.read(r, "x")
+        tm.commit(r)
+        s = tm.define(tm.root, _spec(), set(), predecessors=[r])
+        with pytest.raises(ProtocolError, match="cyclic"):
+            tm.define(
+                tm.root,
+                _spec(),
+                {"x"},
+                predecessors=[s],
+                successors=[r],
+                undo_committed_successors=True,
+            )
+        assert tm.phase(r) is TxnPhase.COMMITTED
+        assert tm.log.count(EventKind.UNDO_COMMIT) == 0
+        assert tm.children_of(tm.root) == (r, s)

@@ -55,6 +55,60 @@ class TestDefinition:
         with pytest.raises(ProtocolError):
             tm.define(tm.root, _spec(), {"x"}, predecessors=["t.9"])
 
+    def test_unknown_successor_rejected_among_known_siblings(self, tm):
+        a = tm.define(tm.root, _spec(), {"x"})
+        with pytest.raises(ProtocolError, match="not an existing child"):
+            tm.define(
+                tm.root, _spec(), {"y"},
+                predecessors=[a], successors=["t.9"],
+            )
+        assert tm.children_of(tm.root) == (a,)
+
+    def test_sibling_both_predecessor_and_successor_rejected(self, tm):
+        a = tm.define(tm.root, _spec(), {"x"})
+        with pytest.raises(ProtocolError, match="cyclic"):
+            tm.define(
+                tm.root, _spec(), {"y"},
+                predecessors=[a], successors=[a],
+            )
+        assert tm.children_of(tm.root) == (a,)
+
+    def test_cycle_through_aborted_child_rejected(self, tm):
+        # Aborted children keep their order edges: a < b < c, with b
+        # aborted, still orders a before c.
+        a = tm.define(tm.root, _spec(), {"x"})
+        b = tm.define(tm.root, _spec(), {"y"}, predecessors=[a])
+        c = tm.define(tm.root, _spec(), {"z"}, predecessors=[b])
+        tm.abort(b)
+        with pytest.raises(ProtocolError, match="cyclic"):
+            tm.define(
+                tm.root, _spec(), {"x"},
+                predecessors=[c], successors=[a],
+            )
+        assert tm.order_of(tm.root).precedes(a, c)
+
+    def test_long_predecessor_chain_accepted(self, tm):
+        chain = [tm.define(tm.root, _spec(), {"x"})]
+        for _ in range(60):
+            chain.append(
+                tm.define(tm.root, _spec(), {"x"}, predecessors=[chain[-1]])
+            )
+        # A new head before the whole chain and a new tail after it
+        # are both acyclic placements.
+        head = tm.define(tm.root, _spec(), {"y"}, successors=[chain[0]])
+        tail = tm.define(
+            tm.root, _spec(), {"y"},
+            predecessors=[chain[-1]], successors=[],
+        )
+        order = tm.order_of(tm.root)
+        assert order.precedes(head, tail)
+        assert order.precedes(chain[0], chain[-1])
+        with pytest.raises(ProtocolError, match="cyclic"):
+            tm.define(
+                tm.root, _spec(), {"z"},
+                predecessors=[tail], successors=[head],
+            )
+
     def test_unknown_entity_rejected(self, tm):
         with pytest.raises(ProtocolError):
             tm.define(tm.root, _spec(), {"nope"})

@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from repro.core.orders import PartialOrder
+from repro.protocol import scheduler
 from repro.server import (
     ServerConfig,
     TransactionServer,
@@ -34,6 +36,37 @@ def _replay(workload, clients, **server_kw):
             await server.shutdown()
 
     return run(body(), timeout=120)
+
+
+class TestLivePathOrder:
+    def test_no_partial_order_built_while_serving(self, monkeypatch):
+        """Define's cycle check, D-sets, the commit gate and Figure-4
+        re-evaluation all answer from the per-parent index: a cad run
+        with cooperation edges builds no :class:`PartialOrder`."""
+        workload = build_workload(
+            "cad", transactions=300, seed=5, key_dist="zipf"
+        )
+        assert any(script.predecessors for script in workload.scripts)
+        built = []
+        decisions = []
+        original_init = PartialOrder.__init__
+        original_decision = scheduler.figure4_decision
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original_init(self, *args, **kwargs)
+
+        def counting_decision(*args, **kwargs):
+            decisions.append(1)
+            return original_decision(*args, **kwargs)
+
+        monkeypatch.setattr(PartialOrder, "__init__", counting_init)
+        monkeypatch.setattr(scheduler, "figure4_decision", counting_decision)
+        report = _replay(workload, clients=8)
+        assert report.protocol_errors == 0
+        assert report.committed > 0
+        assert decisions, "no Figure-4 re-evaluation ran"
+        assert not built
 
 
 class TestBuildWorkload:
